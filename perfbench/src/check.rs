@@ -3,24 +3,21 @@
 //! have. Each check has a self-test that plants a wrong answer.
 
 use pts_util::stats::chi_square_test;
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// A law test rejects when its χ² p-value falls below this. Every run
-/// makes at most two law tests, so a correct sampler fails a run about
-/// once in 500,000 runs, while the planted wrong laws below score
-/// p-values under 1e-30.
+/// makes at most one law test, so a correct sampler fails about one run
+/// in a million, while the planted wrong laws below score p-values under
+/// 1e-30.
 pub const LAW_P_MIN: f64 = 1e-6;
 
-/// Cells whose expected count is below this are pooled (the textbook
-/// rule for the χ² approximation).
+/// An index whose expected count reaches this has a cell of its own;
+/// lighter indices are pooled (the textbook rule for the χ² approximation).
 pub const LAW_MIN_EXPECTED: f64 = 5.0;
 
 /// Relative tolerance of a reported mass against the exact one.
 pub const MASS_REL_TOL: f64 = 1e-9;
-
-/// Magnitude classes of the law tests: class `c` holds `|x| ∈ [2^c, 2^(c+1))`,
-/// the last class everything above.
-pub const CLASSES: usize = 12;
 
 /// A failed check, named.
 #[derive(Debug)]
@@ -56,69 +53,88 @@ impl Verdict {
     }
 }
 
-/// The magnitude class of a non-zero value.
-pub fn class_of(v: i64) -> usize {
-    ((63 - v.unsigned_abs().max(1).leading_zeros()) as usize).min(CLASSES - 1)
-}
-
-/// Observed and expected draw counts per magnitude class.
+/// Observed and expected draw counts per index.
 #[derive(Debug, Clone)]
 pub struct Law {
-    pub observed: Vec<u64>,
-    pub expected: Vec<f64>,
-}
-
-impl Default for Law {
-    fn default() -> Self {
-        Self {
-            observed: vec![0; CLASSES],
-            expected: vec![0.0; CLASSES],
-        }
-    }
+    observed: Vec<u64>,
+    expected: Vec<f64>,
 }
 
 impl Law {
-    /// Adds one draw: `class_mass[c]` is the law's weight of class `c` at
-    /// draw time (any scale), `drawn` the class of the returned index.
-    pub fn add(&mut self, class_mass: &[f64], drawn: usize) {
-        let total: f64 = class_mass.iter().sum();
-        for (e, m) in self.expected.iter_mut().zip(class_mass) {
-            *e += m / total;
+    /// A law over the universe `[0, n)`.
+    pub fn new(n: usize) -> Self {
+        Self {
+            observed: vec![0; n],
+            expected: vec![0.0; n],
         }
-        self.observed[drawn] += 1;
     }
 
-    /// Pearson χ² of observed against expected class counts.
+    /// Adds one draw from the L_p law of `x` as it stands at draw time
+    /// (index `i` with probability `|x_i|^p / Σ_j |x_j|^p`); `drawn` is the
+    /// index returned.
+    pub fn add(&mut self, x: &[i64], p: i32, drawn: u64) {
+        let weight = |v: i64| (v.unsigned_abs() as f64).powi(p);
+        let total: f64 = x.iter().map(|&v| weight(v)).sum();
+        for (e, &v) in self.expected.iter_mut().zip(x) {
+            *e += weight(v) / total;
+        }
+        self.observed[drawn as usize] += 1;
+    }
+
+    /// Pearson χ² of observed against expected counts. Every index whose
+    /// expected count reaches [`LAW_MIN_EXPECTED`] is a cell of its own;
+    /// the lighter ones are pooled by the power-of-two class of their
+    /// expected count (for a fixed vector, their magnitude class), and
+    /// `chi_square_test` pools whatever is still light into one cell.
     pub fn test(&self, check: &'static str) -> Result<(), CheckFailure> {
         let draws: u64 = self.observed.iter().sum();
         if draws == 0 {
             return fail(check, "no draw returned an index".into());
         }
-        let chi = chi_square_test(&self.observed, &self.expected, LAW_MIN_EXPECTED);
+        let (mut observed, mut expected) = (Vec::new(), Vec::new());
+        let mut pooled: BTreeMap<i32, (u64, f64)> = BTreeMap::new();
+        for (&o, &e) in self.observed.iter().zip(&self.expected) {
+            if e >= LAW_MIN_EXPECTED {
+                observed.push(o);
+                expected.push(e);
+            } else {
+                let class = if e > 0.0 {
+                    e.log2().floor() as i32
+                } else {
+                    i32::MIN
+                };
+                let cell = pooled.entry(class).or_default();
+                cell.0 += o;
+                cell.1 += e;
+            }
+        }
+        let singles = observed.len();
+        for (o, e) in pooled.into_values() {
+            observed.push(o);
+            expected.push(e);
+        }
+        let chi = chi_square_test(&observed, &expected, LAW_MIN_EXPECTED);
         if chi.p_value < LAW_P_MIN {
+            // The single-index cell that deviates most, to name in the failure.
+            let dev = |i: usize| {
+                let (o, e) = (self.observed[i] as f64, self.expected[i]);
+                (o - e) * (o - e) / e
+            };
+            let worst = (0..self.expected.len())
+                .filter(|&i| self.expected[i] >= LAW_MIN_EXPECTED)
+                .max_by(|&a, &b| dev(a).total_cmp(&dev(b)))
+                .map(|i| (i, self.observed[i], self.expected[i].round()));
             return fail(
                 check,
                 format!(
-                    "chi2 {:.2} on {} dof, p = {:.3e} < {LAW_P_MIN:e} (observed {:?}, expected {:?})",
-                    chi.statistic,
-                    chi.dof,
-                    chi.p_value,
-                    self.observed,
-                    self.expected.iter().map(|e| e.round()).collect::<Vec<_>>()
+                    "chi2 {:.2} on {} dof, p = {:.3e} < {LAW_P_MIN:e} over {draws} draws \
+                     ({singles} single-index cells; worst index, observed, expected: {:?})",
+                    chi.statistic, chi.dof, chi.p_value, worst
                 ),
             );
         }
         Ok(())
     }
-}
-
-/// Per-class `Σ |x_i|^p` of a vector.
-pub fn class_mass(x: &[i64], p: i32) -> Vec<f64> {
-    let mut m = vec![0.0; CLASSES];
-    for &v in x.iter().filter(|v| **v != 0) {
-        m[class_of(v)] += (v.unsigned_abs() as f64).powi(p);
-    }
-    m
 }
 
 /// The sorted sparse `(index, value)` entries of a dense vector.
@@ -192,44 +208,81 @@ mod tests {
         (0..512).map(|i| 1 + (i % 9) * (i % 9) * (i % 9)).collect()
     }
 
+    /// A zipf-like vector: `500 / r` at rank `r`.
+    fn zipf() -> Vec<i64> {
+        (1..=64)
+            .map(|r| (500.0 / r as f64).round() as i64)
+            .collect()
+    }
+
+    /// `draws` draws from the L_p law of `x`, each index drawn in exact
+    /// proportion (rounded) to its probability.
+    fn exact_draws(x: &[i64], p: i32, draws: f64) -> Vec<u64> {
+        let w: Vec<f64> = x
+            .iter()
+            .map(|v| (v.unsigned_abs() as f64).powi(p))
+            .collect();
+        let total: f64 = w.iter().sum();
+        (0..x.len() as u64)
+            .flat_map(|i| {
+                std::iter::repeat(i).take((draws * w[i as usize] / total).round() as usize)
+            })
+            .collect()
+    }
+
+    fn law_of(x: &[i64], p: i32, drawn: &[u64]) -> Law {
+        let mut law = Law::new(x.len());
+        for &i in drawn {
+            law.add(x, p, i);
+        }
+        law
+    }
+
     #[test]
     fn law_test_accepts_the_true_law() {
         let x = spread();
-        let mass = class_mass(&x, 2);
-        let total: f64 = mass.iter().sum();
-        let mut law = Law::default();
-        // Draw classes in exact proportion to the L2 law.
-        for (c, m) in mass.iter().enumerate() {
-            for _ in 0..(3000.0 * m / total).round() as usize {
-                law.add(&mass, c);
-            }
-        }
-        assert!(law.test("law").is_ok());
+        assert!(law_of(&x, 2, &exact_draws(&x, 2, 3000.0))
+            .test("law")
+            .is_ok());
+        let x = zipf();
+        assert!(law_of(&x, 3, &exact_draws(&x, 3, 3000.0))
+            .test("law")
+            .is_ok());
     }
 
     #[test]
     fn law_test_rejects_a_uniform_law_offered_as_l2() {
         let x = spread();
-        let mass = class_mass(&x, 2);
-        let mut law = Law::default();
         // Uniform draws: every coordinate equally likely.
-        for _ in 0..5 {
-            for &v in &x {
-                law.add(&mass, class_of(v));
-            }
-        }
-        assert!(law.test("law").is_err());
+        let uniform: Vec<u64> = (0..5).flat_map(|_| 0..x.len() as u64).collect();
+        assert!(law_of(&x, 2, &uniform).test("law").is_err());
     }
 
     #[test]
     fn law_test_rejects_a_uniform_law_offered_as_l3() {
         let x = spread();
-        let mass = class_mass(&x, 3);
-        let mut law = Law::default();
-        for &v in x.iter().take(100) {
-            law.add(&mass, class_of(v));
-        }
-        assert!(law.test("law").is_err());
+        let uniform: Vec<u64> = (0..100).collect();
+        assert!(law_of(&x, 3, &uniform).test("law").is_err());
+    }
+
+    #[test]
+    fn law_test_rejects_two_indices_of_one_magnitude_swapped() {
+        // Indices 1 and 2 (250 and 220) share a magnitude class, and their
+        // expected counts (about 3070 and 2380) share a power-of-two class,
+        // so only a test with a cell per index tells them apart.
+        let mut x = zipf();
+        x[2] = 220;
+        // The true L2 law, except that every draw of index 1 returns
+        // index 2 and the other way round.
+        let swapped: Vec<u64> = exact_draws(&x, 2, 20_000.0)
+            .into_iter()
+            .map(|i| match i {
+                1 => 2,
+                2 => 1,
+                i => i,
+            })
+            .collect();
+        assert!(law_of(&x, 2, &swapped).test("law").is_err());
     }
 
     #[test]
@@ -265,13 +318,5 @@ mod tests {
     fn mass_check_rejects_a_relative_error_above_tolerance() {
         assert!(mass_matches("m", 1e12 + 1e2, 1e12).is_ok());
         assert!(mass_matches("m", 1e12 + 1e4, 1e12).is_err());
-    }
-
-    #[test]
-    fn classes_split_by_powers_of_two() {
-        assert_eq!(class_of(1), 0);
-        assert_eq!(class_of(-3), 1);
-        assert_eq!(class_of(4), 2);
-        assert_eq!(class_of(i64::MIN), CLASSES - 1);
     }
 }

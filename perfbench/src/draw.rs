@@ -1,9 +1,7 @@
 //! `draw`: the served engine's type in process, preloaded with a vector
 //! of full support, then four `sample()` calls per small write.
 
-use crate::check::{
-    class_mass, class_of, in_support, snapshot_matches, CheckFailure, Law, Verdict,
-};
+use crate::check::{in_support, snapshot_matches, CheckFailure, Law, Verdict};
 use crate::served::{self, engine_layers, Op, Registry};
 use crate::trace::Spans;
 use crate::{probe, Layers, Tally, Workload};
@@ -44,9 +42,8 @@ pub struct Draw {
     preload: Vec<Update>,
     writes: Vec<Vec<Update>>,
     next_write: usize,
-    /// The exact vector, and its L2 mass per magnitude class.
+    /// The exact vector.
     x: Vec<i64>,
-    mass: Vec<f64>,
     law: Law,
     verdict: Verdict,
     ingest_ns: u64,
@@ -78,7 +75,6 @@ impl Draw {
         let mut engine = engine(seed);
         engine.ingest_batch(&preload);
         let x = x.values().to_vec();
-        let mass = class_mass(&x, 2);
         let mut w = Draw {
             seed,
             engine,
@@ -86,8 +82,7 @@ impl Draw {
             writes,
             next_write: 0,
             x,
-            mass,
-            law: Law::default(),
+            law: Law::new(N),
             verdict: Verdict::default(),
             ingest_ns: 0,
             ingest_updates: 0,
@@ -102,18 +97,10 @@ impl Draw {
         w
     }
 
-    /// Applies a write to the exact vector and its class masses.
+    /// Applies a write to the exact vector.
     fn apply(&mut self, w: usize) {
-        let sq = |v: i64| (v as f64) * (v as f64);
         for u in &self.writes[w] {
-            let i = u.index as usize;
-            if self.x[i] != 0 {
-                self.mass[class_of(self.x[i])] -= sq(self.x[i]);
-            }
-            self.x[i] += u.delta;
-            if self.x[i] != 0 {
-                self.mass[class_of(self.x[i])] += sq(self.x[i]);
-            }
+            self.x[u.index as usize] += u.delta;
         }
     }
 }
@@ -151,7 +138,7 @@ impl Workload for Draw {
             if let Some(s) = out {
                 let drawn = in_support("draw support", s.index, &self.x);
                 if drawn.is_ok() {
-                    self.law.add(&self.mass, class_of(self.x[s.index as usize]));
+                    self.law.add(&self.x, 2, s.index);
                 }
                 self.verdict.note(drawn);
             }
@@ -196,15 +183,16 @@ impl Workload for Draw {
             Ok((l, _)) => out.extend(l),
             Err(e) => eprintln!("perfbench draw: {e}"),
         }
-        out.extend(probe::inputs(
-            &self.writes,
-            &[],
-            SHARDS,
+        let updates = self.writes.concat();
+        out.extend(probe::wire(&self.writes, &[]));
+        out.extend(probe::router(&self.writes, seed));
+        out.extend(probe::sampler(
             &LpLe2Factory::for_universe(N, 2.0),
             &self.x,
+            &updates,
             seed,
         ));
-        out.extend(probe::core(&self.writes.concat(), seed));
+        out.extend(probe::core(&updates, seed));
         out
     }
 }

@@ -192,21 +192,24 @@ impl Workload for Ingest {
         mass_matches("stats mass", stats.mass, f2)
     }
 
+    fn layers_reported(&self) -> &'static [&'static str] {
+        &["client", "wire", "server", "engine", "router", "sampler"]
+    }
+
     fn layers(&mut self, timed: &Registry, tally: &Tally, spans: &mut Spans) -> Layers {
         let mut out = served::served_layers(timed, spans, &tally.lat_ns);
         out.extend(served::engine_layers(
             timed,
             served::served_ingest_ns_per_update(timed),
         ));
-        out.extend(probe::inputs(
-            &self.batches,
-            &[],
-            SHARDS,
+        out.extend(probe::wire(&self.batches, &[]));
+        out.extend(probe::router(&self.batches, self.seed));
+        out.extend(probe::sampler(
             &LpLe2Factory::for_universe(N, 2.0),
             &self.x,
+            &self.batches.concat(),
             self.seed,
         ));
-        out.extend(probe::core(&self.batches.concat(), self.seed));
         out
     }
 }

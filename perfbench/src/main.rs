@@ -30,7 +30,7 @@ use std::time::{Duration, Instant};
 use trace::Spans;
 
 /// Set-ups per run; `setup_s` is their median.
-const SETUPS: usize = 3;
+const SETUPS: usize = 9;
 
 /// A run that has not finished by now is reported as hung and killed.
 const WATCHDOG: Duration = Duration::from_secs(170);
@@ -111,6 +111,15 @@ pub trait Workload {
 
     /// Checks every output against the benchmark's own computation.
     fn check(&mut self) -> Result<(), CheckFailure>;
+
+    /// The layers whose per-layer metrics a traced run reports. By
+    /// default every layer: a traced result of a workload that
+    /// `BENCHMARK.json` names carries every per-layer metric, so on `draw`
+    /// and `sketch` probes price the layers their own path does not cross.
+    /// `ingest` and `tenants` report the layers they cross.
+    fn layers_reported(&self) -> &'static [&'static str] {
+        &trace::LAYERS
+    }
 
     /// The per-layer metrics of a traced run: `timed` spans the timed
     /// phase; probes may run more work through single layers.
@@ -285,8 +294,13 @@ fn main() {
                 std::process::exit(2);
             }
         }
+        let reported = workload.layers_reported();
         let mut ordered = Vec::with_capacity(layers.len());
-        for (name, unit) in trace::PER_LAYER.iter().chain(trace::HOST.iter()) {
+        let wanted = trace::PER_LAYER
+            .iter()
+            .filter(|(name, _)| reported.contains(&trace::layer_of(name)))
+            .chain(trace::HOST.iter());
+        for (name, unit) in wanted {
             match layers.iter().find(|(n, _)| n == name) {
                 Some((_, value)) => ordered.push((*name, *value, *unit)),
                 None => {
@@ -308,6 +322,7 @@ fn main() {
         while setup_times.len() < SETUPS {
             setup_times.push(timed_setup().1);
         }
+        eprintln!("set-up times (s): {setup_times:?}");
         let mut lat = std::mem::take(&mut tally.lat_ns);
         lat.sort_unstable();
         vec![

@@ -20,9 +20,12 @@ const MIN_PROBE: Duration = Duration::from_millis(30);
 const INSTANCES: usize = 3;
 
 /// Universe and moment of the paper's p > 2 sampler in the `sketch`
-/// workload, and of the core probe on every other workload.
+/// workload and in the core probe on `draw`.
 pub const CORE_N: usize = 64;
 pub const CORE_P: f64 = 3.0;
+
+/// Shards the router probe plans over: the served engine's shape.
+const ROUTER_SHARDS: usize = 4;
 
 /// Updates a core probe streams into each instance (the `sketch` trial size).
 const CORE_PROBE_UPDATES: usize = 512;
@@ -44,33 +47,15 @@ fn per_item_ns(items: usize, mut pass: impl FnMut()) -> f64 {
     t.elapsed().as_nanos() as f64 / (passes as f64 * items.max(1) as f64)
 }
 
-/// The probes every workload runs on its own inputs: the wire codec on
-/// each batch as an `IngestBatch` request, on a one-draw `Sample` and on
-/// `extra`; the router's plan of each batch over `shards`; and fresh
-/// instances of the workload's sampler fed its net vector `x`, then its
-/// batches, then asked for one draw.
-pub fn inputs<F: SamplerFactory>(
-    batches: &[Vec<Update>],
-    extra: &[Request],
-    shards: usize,
-    factory: &F,
-    x: &[i64],
-    seed: u64,
-) -> Layers {
+/// `write_request` and `read_request` on each batch as an `IngestBatch`
+/// request, on a one-draw `Sample` and on `extra`.
+pub fn wire(batches: &[Vec<Update>], extra: &[Request]) -> Layers {
     let mut requests: Vec<Request> = batches
         .iter()
         .map(|b| Request::IngestBatch(b.iter().map(|u| (u.index, u.delta)).collect()))
         .collect();
     requests.push(Request::Sample { count: 1 });
     requests.extend_from_slice(extra);
-    let mut out = wire(&requests);
-    out.extend(router(shards, seed, batches));
-    out.extend(sampler(factory, x, &batches.concat(), seed));
-    out
-}
-
-/// `write_request` and `read_request` on each request.
-fn wire(requests: &[Request]) -> Layers {
     let frames: Vec<Vec<u8>> = requests
         .iter()
         .enumerate()
@@ -99,10 +84,10 @@ fn wire(requests: &[Request]) -> Layers {
     ]
 }
 
-/// `plan_batch` on each batch, per update.
-fn router(shards: usize, seed: u64, batches: &[Vec<Update>]) -> Layers {
-    let router = ShardRouter::new(shards, seed);
-    let mut plan: Vec<Vec<Update>> = vec![Vec::new(); shards];
+/// `plan_batch` on each batch over [`ROUTER_SHARDS`] shards, per update.
+pub fn router(batches: &[Vec<Update>], seed: u64) -> Layers {
+    let router = ShardRouter::new(ROUTER_SHARDS, seed);
+    let mut plan: Vec<Vec<Update>> = vec![Vec::new(); ROUTER_SHARDS];
     let updates: usize = batches.iter().map(Vec::len).sum();
     let ns = per_item_ns(updates, || {
         for b in batches {
@@ -113,9 +98,9 @@ fn router(shards: usize, seed: u64, batches: &[Vec<Update>]) -> Layers {
     vec![("router.plan_ns_per_update", ns)]
 }
 
-/// Fresh instances over `[0, x.len())`: build, replay of the net vector
-/// `x`, the updates, then one draw (medians over the instances).
-fn sampler<F: SamplerFactory>(factory: &F, x: &[i64], updates: &[Update], seed: u64) -> Layers {
+/// Fresh instances of `factory` over `[0, x.len())`: build, replay of the
+/// net vector `x`, the updates, then one draw (medians over the instances).
+pub fn sampler<F: SamplerFactory>(factory: &F, x: &[i64], updates: &[Update], seed: u64) -> Layers {
     let net = entries(x);
     let (mut build, mut replay, mut update, mut sample) = (vec![], vec![], vec![], vec![]);
     for k in 0..INSTANCES {

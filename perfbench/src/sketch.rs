@@ -2,7 +2,7 @@
 //! (Algorithm 1): build with a fresh seed, stream a small turnstile
 //! stream, draw once. No engine and no server.
 
-use crate::check::{class_mass, class_of, in_support, CheckFailure, Law};
+use crate::check::{in_support, CheckFailure, Law};
 use crate::probe::{self, CoreTimes, CORE_N, CORE_P};
 use crate::served::{self, engine_layers, Op, Registry};
 use crate::trace::Spans;
@@ -89,11 +89,10 @@ impl Workload for Sketch {
     }
 
     fn check(&mut self) -> Result<(), CheckFailure> {
-        let mass = class_mass(&self.x, 3);
-        let mut law = Law::default();
+        let mut law = Law::new(CORE_N);
         for i in self.log.iter().flatten() {
             in_support("sketch sample support", *i, &self.x)?;
-            law.add(&mass, class_of(self.x[*i as usize]));
+            law.add(&self.x, 3, *i);
         }
         law.test("sketch law (L3)")
     }
@@ -114,12 +113,12 @@ impl Workload for Sketch {
             }
             Err(e) => eprintln!("perfbench sketch: {e}"),
         }
-        out.extend(probe::inputs(
-            &self.streams,
-            &[],
-            1,
+        out.extend(probe::wire(&self.streams, &[]));
+        out.extend(probe::router(&self.streams, seed));
+        out.extend(probe::sampler(
             &PerfectLpFactory::for_universe(CORE_N, CORE_P),
             &self.x,
+            &self.streams.concat(),
             seed,
         ));
         out

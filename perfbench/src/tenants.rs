@@ -3,7 +3,7 @@
 //! drop and re-create.
 
 use crate::check::{fail, mass_matches, tenant_sample, CheckFailure, Verdict};
-use crate::served::{self, engine_layers, Op, Pipeline, Registry, Reply};
+use crate::served::{self, Op, Pipeline, Registry, Reply};
 use crate::trace::Spans;
 use crate::{probe, Layers, Tally, Workload};
 use pts_engine::{EngineConfig, L0Factory, ShardedEngine};
@@ -98,7 +98,6 @@ fn verify(verdict: &mut Verdict, expect: Expect, reply: Reply) {
 }
 
 pub struct Tenants {
-    seed: u64,
     server: Option<Server>,
     client: Option<Client>,
     pipe: Pipeline<Expect>,
@@ -127,7 +126,6 @@ impl Tenants {
             .map_err(|e| format!("bind: {e}"))?;
         let client = served::connect(&server, WINDOW)?;
         let mut w = Tenants {
-            seed,
             server: Some(server),
             client: Some(client),
             pipe: Pipeline::new(WINDOW),
@@ -221,31 +219,18 @@ impl Workload for Tenants {
         self.verdict.take()
     }
 
+    fn layers_reported(&self) -> &'static [&'static str] {
+        &["client", "wire", "server"]
+    }
+
     fn layers(&mut self, timed: &Registry, tally: &Tally, spans: &mut Spans) -> Layers {
         let mut out = served::served_layers(timed, spans, &tally.lat_ns);
-        out.extend(engine_layers(
-            timed,
-            served::served_ingest_ns_per_update(timed),
-        ));
-        // A tenant's vector after an eighth of the distinct writes.
-        let mut x = [0i64; N];
-        for u in self.batches[..BATCHES / 8].iter().flatten() {
-            x[u.index as usize] += u.delta;
-        }
         let extra = [
             Request::Stats,
             Request::CreateNamespace,
             Request::DropNamespace,
         ];
-        out.extend(probe::inputs(
-            &self.batches,
-            &extra,
-            1,
-            &L0Factory::default(),
-            &x,
-            self.seed,
-        ));
-        out.extend(probe::core(&self.batches.concat(), self.seed));
+        out.extend(probe::wire(&self.batches, &extra));
         out
     }
 }

@@ -44,7 +44,17 @@ pub const PER_LAYER: [(&str, &str); 30] = [
     // host.steal_pct and host.cpu_util are appended by the driver.
 ];
 
-/// Host metrics every run measures itself.
+/// Every layer, named as the prefix of its per-layer metrics.
+pub const LAYERS: [&str; 7] = [
+    "client", "wire", "server", "engine", "router", "sampler", "core",
+];
+
+/// The layer a per-layer metric belongs to.
+pub fn layer_of(metric: &str) -> &str {
+    metric.split_once('.').map_or(metric, |(layer, _)| layer)
+}
+
+/// Host metrics every traced run measures itself.
 pub const HOST: [(&str, &str); 2] = [("host.steal_pct", "%"), ("host.cpu_util", "%")];
 
 #[derive(Debug, Clone)]

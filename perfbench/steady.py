@@ -1,19 +1,19 @@
 #!/usr/bin/env python3
 """Steadiness command: how far the benchmark's figures move between runs.
 
-    python3 perfbench/steady.py [--runs 10] [--workloads ingest,draw,...]
-                                [--seconds <run_seconds>] [--seed-base 1000]
+    python3 perfbench/steady.py [--workloads ingest,draw,...] [--seconds <run_seconds>]
 
-For each workload it makes two sets of `--runs` runs, each run with its
-own seed, alternating which set runs first in each pair. For every
-end-to-end metric of BENCHMARK.json it prints each set's median and
-quartiles, the spread (quartile distance over median, as
-`statistics.quantiles(values, n=4)` gives the quartiles), and the drift
-of the second set's median from the first's in the metric's worse
-direction, both against the metric's bound. It also compares the share
-of failed operations between the sets. A run that fails or hangs is
-reported and left out. The full result is written to
-perfbench/out/steady-<workloads>.json.
+For each workload it makes two sets of ten runs, set 1 with seeds
+1000-1009 and set 2 with seeds 2000-2009, alternating which set runs
+first in each pair. For every end-to-end metric of BENCHMARK.json it
+prints each set's median and quartiles, the spread (quartile distance
+over median, as `statistics.quantiles(values, n=4)` gives the
+quartiles), and the drift (the second set's median against the first's,
+either way), each against the metric's bound: a metric fails when a
+spread or the drift exceeds its bound, and reads "wide" when a spread
+exceeds a third of it. It also compares the share of failed operations
+between the sets. A run that fails or hangs is reported and left out.
+The full result is written to perfbench/out/steady-<workloads>.json.
 """
 
 import argparse
@@ -28,6 +28,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RUN = os.path.join(ROOT, "perfbench", "run.py")
 # A single run may take this long, its build included, before it counts as hung.
 RUN_TIMEOUT_S = 900
+# Runs per set, and the first seed of set 1 (set 2 starts 1000 higher).
+RUNS = 10
+SEED_BASE = 1000
 
 
 def one_run(workload, seed, seconds):
@@ -54,23 +57,19 @@ def main():
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         bench = json.load(f)
     p = argparse.ArgumentParser()
-    p.add_argument("--runs", type=int, default=10)
     p.add_argument("--seconds", type=int, default=bench["run_seconds"])
     p.add_argument("--workloads", default=",".join(w["name"] for w in bench["workloads"]))
-    p.add_argument("--seed-base", type=int, default=1000)
     args = p.parse_args()
-    if args.runs < 2:
-        sys.exit("--runs must be at least 2")
     metrics = bench["end_to_end"]
-    report = {"runs": args.runs, "seconds": args.seconds, "workloads": {}}
+    report = {"runs": RUNS, "seconds": args.seconds, "workloads": {}}
     worst = "ok"
     for workload in args.workloads.split(","):
         sets = [[], []]
         failures = []
-        for i in range(args.runs):
+        for i in range(RUNS):
             order = (0, 1) if i % 2 == 0 else (1, 0)
             for s in order:
-                seed = args.seed_base + 1000 * s + i
+                seed = SEED_BASE + 1000 * s + i
                 t = time.time()
                 result, err = one_run(workload, seed, args.seconds)
                 print(f"  {workload} set {s + 1} seed {seed}: "
@@ -97,14 +96,12 @@ def main():
             name, bound = m["name"], m["bound"]
             vals = [[r["metrics"][name]["value"] for r in runs] for runs in sets]
             a, b = summary(vals[0]), summary(vals[1])
-            sign = 1.0 if m["better"] == "lower" else -1.0
-            drift = sign * (b["median"] - a["median"]) / a["median"]
-            gated_spread = name != "setup_s"
+            drift = (b["median"] - a["median"]) / a["median"]
             spread = max(a["spread"], b["spread"])
             verdict = "ok"
-            if drift > bound or (gated_spread and spread > bound):
+            if abs(drift) > bound or spread > bound:
                 verdict = "FAIL"
-            elif gated_spread and spread > bound / 3:
+            elif spread > bound / 3:
                 verdict = "wide"
             if verdict == "FAIL":
                 worst = "FAIL"
